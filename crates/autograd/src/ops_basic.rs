@@ -154,21 +154,17 @@ impl Var {
     }
 
     /// GELU activation (tanh approximation), differentiated analytically.
+    /// The forward's `tanh` values are kept for the backward (only while
+    /// the tape records), so each element costs one `tanh` per step.
     pub fn gelu(&self) -> Var {
+        if !crate::nograd::is_recording() {
+            return Var::constant(self.value().gelu());
+        }
+        let (value, t) = self.value().gelu_with_tanh();
         Var::node(
-            self.value().gelu(),
+            value,
             vec![self.clone()],
-            Box::new(|g, parents| {
-                const C: f32 = 0.797_884_6; // sqrt(2/pi)
-                const A: f32 = 0.044_715;
-                let dx = parents[0].value().map(|x| {
-                    let u = C * (x + A * x * x * x);
-                    let t = u.tanh();
-                    let du = C * (1.0 + 3.0 * A * x * x);
-                    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-                });
-                vec![Some(g.mul(&dx))]
-            }),
+            Box::new(move |g, parents| vec![Some(parents[0].value().gelu_backward(&t, g))]),
         )
     }
 

@@ -1,11 +1,10 @@
-//! Differentiable 1-D/2-D convolution. The forward uses the `im2col`
-//! kernels from `ts3-tensor`; backward derives the input gradient through
-//! `col2im` (the adjoint of `im2col`) and the weight gradient through a
-//! matmul against the recomputed column matrix.
+//! Differentiable 1-D/2-D convolution. The forward is the batch-parallel
+//! `im2col` + gemm kernel of `ts3-tensor`; the backward is one call to
+//! [`ts3_tensor::conv2d_backward`], which derives the input gradient as a
+//! flipped-kernel forward conv and the weight gradient as per-sample
+//! gemms summed in a fixed order (bit-identical at any thread count).
 
 use crate::var::Var;
-use ts3_tensor::conv::{col2im, im2col};
-use ts3_tensor::Tensor;
 
 impl Var {
     /// 2-D convolution (stride 1): input `[B,Ci,H,W]`, weight
@@ -16,28 +15,9 @@ impl Var {
             value,
             vec![self.clone(), weight.clone()],
             Box::new(move |g, parents| {
-                let x = parents[0].value();
-                let w = parents[1].value();
-                let (b, cin, h, wd) =
-                    (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-                let (cout, _, kh, kw) =
-                    (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-                let oh = h + 2 * ph + 1 - kh;
-                let ow = wd + 2 * pw + 1 - kw;
-                let wmat = w.reshape(&[cout, cin * kh * kw]);
-                let mut gx = Tensor::zeros(&[b, cin, h, wd]);
-                let mut gw_mat = Tensor::zeros(&[cout, cin * kh * kw]);
-                for bi in 0..b {
-                    let gy = g.index_axis(0, bi).reshape(&[cout, oh * ow]);
-                    // Input gradient: fold W^T . gy back through col2im.
-                    let gcols = wmat.matmul_ta(&gy);
-                    let gxb = col2im(&gcols, cin, h, wd, kh, kw, ph, pw);
-                    gx.assign_narrow(0, bi, &gxb.reshape(&[1, cin, h, wd]));
-                    // Weight gradient: gy . cols^T (cols recomputed).
-                    let cols = im2col(&x.index_axis(0, bi), kh, kw, ph, pw);
-                    gw_mat.add_assign(&gy.matmul_tb(&cols));
-                }
-                vec![Some(gx), Some(gw_mat.reshape(&[cout, cin, kh, kw]))]
+                let (gx, gw) =
+                    ts3_tensor::conv2d_backward(parents[0].value(), parents[1].value(), g, ph, pw);
+                vec![Some(gx), Some(gw)]
             }),
         )
     }
@@ -57,6 +37,8 @@ impl Var {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_gradcheck;
+    use ts3_tensor::Tensor;
 
     fn leaf(t: Tensor) -> Var {
         Var::constant(t)
@@ -92,32 +74,23 @@ mod tests {
     }
 
     #[test]
-    fn conv2d_gradcheck_small() {
-        let x0 = Tensor::randn(&[1, 2, 4, 4], 3).mul_scalar(0.5);
-        let w0 = Tensor::randn(&[2, 2, 3, 3], 4).mul_scalar(0.5);
-        // Analytic gradient for loss = sum(conv(x, w)^2) / 2.
-        let x = leaf(x0.clone());
-        let w = leaf(w0.clone());
-        let y = x.conv2d(&w, 1, 1);
-        y.square().sum().mul_scalar(0.5).backward();
-        let gw = w.grad().unwrap();
-        // Finite difference on one weight element.
-        let f = |wt: &Tensor| -> f32 {
-            let y = ts3_tensor::conv2d(&x0, wt, 1, 1);
-            0.5 * y.as_slice().iter().map(|v| v * v).sum::<f32>()
-        };
-        let eps = 1e-2;
-        for idx in [0usize, 7, 17] {
-            let mut wp = w0.clone();
-            wp.as_mut_slice()[idx] += eps;
-            let mut wm = w0.clone();
-            wm.as_mut_slice()[idx] -= eps;
-            let num = (f(&wp) - f(&wm)) / (2.0 * eps);
-            let ana = gw.as_slice()[idx];
-            assert!(
-                (num - ana).abs() < 2e-2 * num.abs().max(1.0),
-                "idx {idx}: numeric {num} vs analytic {ana}"
-            );
+    fn conv2d_gradcheck_input_and_weight() {
+        // loss = sum(conv(x, w)^2) / 2 — quadratic, so the gradient
+        // reaches both operands with data-dependent weights. Geometries:
+        // same padding, batch > 1 with Ci != Co, and padding beyond the
+        // kernel reach (the cropped input-gradient path).
+        for (b, ci, co, h, w, k, ph, pw, seed) in [
+            (1, 2, 2, 4, 4, 3, 1, 1, 3),
+            (2, 2, 3, 3, 4, 3, 0, 1, 5),
+            (2, 1, 2, 2, 3, 1, 2, 1, 7),
+        ] {
+            let x0 = Tensor::randn(&[b, ci, h, w], seed).mul_scalar(0.5);
+            let w0 = Tensor::randn(&[co, ci, k, k], seed + 1).mul_scalar(0.5);
+            let loss = |y: Var| y.square().sum().mul_scalar(0.5);
+            let wc = w0.clone();
+            assert_gradcheck(move |x| loss(x.conv2d(&leaf(wc.clone()), ph, pw)), &x0, 1e-2, 2e-2);
+            let xc = x0.clone();
+            assert_gradcheck(move |w| loss(leaf(xc.clone()).conv2d(w, ph, pw)), &w0, 1e-2, 2e-2);
         }
     }
 

@@ -1,15 +1,23 @@
-//! Convolution kernels: `im2col`/`col2im` based 2-D convolution, direct
-//! 1-D convolution, and the moving-average pooling used by trend
-//! decomposition.
+//! Convolution kernels: `im2col`-based 2-D convolution and its
+//! batch-parallel backward, direct 1-D convolution, and the
+//! moving-average pooling used by trend decomposition.
 //!
 //! Layout conventions (matching the usual DL framework conventions):
 //! * conv2d input  `[B, C_in, H, W]`
 //! * conv2d weight `[C_out, C_in, KH, KW]`
 //! * conv1d input  `[B, C_in, L]`
 //! * conv1d weight `[C_out, C_in, K]`
+//!
+//! [`conv2d_backward`] never folds columns back with [`col2im`]: the
+//! input gradient is itself a forward convolution (of the output
+//! gradient with the flipped, channel-swapped kernel), and the weight
+//! gradient is a per-sample gemm against the `im2col` columns. Both run
+//! batch-parallel on [`crate::par`]; `col2im` survives as the adjoint
+//! oracle the backward is tested against.
 
 use std::cell::RefCell;
 
+use crate::gemm::MatRef;
 use crate::Tensor;
 
 /// Unfold a `[C, H, W]` sample given as a raw slice into the column
@@ -82,6 +90,8 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize, ph: usize, pw: usize) -> Ten
 
 /// Fold a `[C*kh*kw, oh*ow]` column matrix back into `[C, H, W]`,
 /// **accumulating** overlapping contributions — the adjoint of [`im2col`].
+/// Not on any production path: it is the reference [`conv2d_backward`]
+/// is tested against.
 #[allow(clippy::too_many_arguments)] // mirrors im2col geometry
 pub fn col2im(
     cols: &Tensor,
@@ -124,6 +134,20 @@ pub fn col2im(
     Tensor::from_vec(out, &[c, h, w])
 }
 
+thread_local! {
+    // Per-worker column-matrix scratch for the forward and weight-gradient
+    // batch loops, reused across samples and calls (the persistent pool
+    // keeps workers alive, so steady-state conv2d does no per-sample
+    // allocation).
+    static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The four extents of a rank-4 tensor.
+fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {
+    let s = t.shape();
+    (s[0], s[1], s[2], s[3])
+}
+
 /// 2-D convolution (cross-correlation, as in DL frameworks), stride 1.
 ///
 /// * `input`:  `[B, C_in, H, W]`
@@ -137,18 +161,8 @@ pub fn col2im(
 pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
     assert_eq!(input.rank(), 4, "conv2d input must be [B,C,H,W]");
     assert_eq!(weight.rank(), 4, "conv2d weight must be [Co,Ci,KH,KW]");
-    let (b, cin, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let (cout, cin2, kh, kw) = (
-        weight.shape()[0],
-        weight.shape()[1],
-        weight.shape()[2],
-        weight.shape()[3],
-    );
+    let (b, cin, h, w) = dims4(input);
+    let (cout, cin2, kh, kw) = dims4(weight);
     assert_eq!(cin, cin2, "conv2d: channel mismatch (input {cin} vs weight {cin2})");
     assert!(h + 2 * ph >= kh && w + 2 * pw >= kw, "conv2d: kernel larger than padded input");
     let oh = h + 2 * ph + 1 - kh;
@@ -169,17 +183,21 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
             (4 * (input.numel() + weight.numel() + b * cout * oh * ow)) as u64,
         );
     }
-    let wmat = weight.reshape(&[cout, cin * kh * kw]);
+    conv2d_kernel(input, weight, ph, pw)
+}
+
+/// The untraced batch-parallel body of [`conv2d`] (shapes already
+/// checked), shared with the input-gradient pass of [`conv2d_backward`]
+/// so backward work is never counted as forward work.
+fn conv2d_kernel(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
+    let (b, cin, h, w) = dims4(input);
+    let (cout, _, kh, kw) = dims4(weight);
+    let oh = h + 2 * ph + 1 - kh;
+    let ow = w + 2 * pw + 1 - kw;
     let sample = cout * oh * ow;
     let in_sample = cin * h * w;
     let mut out = vec![0.0f32; b * sample];
     if sample > 0 {
-        thread_local! {
-            // Per-worker column-matrix scratch, reused across samples
-            // and calls (the persistent pool keeps workers alive, so
-            // steady-state conv2d does no per-sample allocation).
-            static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-        }
         let src = input.as_slice();
         crate::par::par_rows_mut(&mut out, sample, 1, |b0, block| {
             COLS.with(|cell| {
@@ -188,7 +206,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
                     let x = &src[(b0 + i) * in_sample..(b0 + i + 1) * in_sample];
                     im2col_into(x, cin, h, w, kh, kw, ph, pw, cols);
                     crate::linalg::matmul_block(
-                        wmat.as_slice(),
+                        weight.as_slice(),
                         cols,
                         ob,
                         cout,
@@ -200,6 +218,109 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, ph: usize, pw: usize) -> Tensor {
         });
     }
     Tensor::from_vec(out, &[b, cout, oh, ow])
+}
+
+/// Gradients of [`conv2d`]: given the forward's `input`, `weight`,
+/// padding and the output gradient `grad_out` (`[B, C_out, OH, OW]`),
+/// returns `(grad_input, grad_weight)`.
+///
+/// * **Input gradient** — a full correlation of `grad_out` with the
+///   kernel flipped 180° and its channel axes swapped
+///   (`[C_in, C_out, KH, KW]`), padded by `KH - 1 - ph` (resp. `KW - 1 -
+///   pw`). It runs through the batch-parallel forward kernel. Padding
+///   beyond `K - 1` pads the forward with rows no input reaches; the
+///   matching `grad_out` border is cropped instead of padded negatively.
+/// * **Weight gradient** — per sample `grad_out_b · cols_bᵀ` into its
+///   own slot of a `[B, C_out, C_in·KH·KW]` scratch, in parallel, then
+///   summed in ascending `b`. The reduction order is fixed, so the result
+///   is bit-identical at any thread count and schedule (and equal to the
+///   serial sum of per-sample products).
+///
+/// Traced as the `tensor.conv2d.bwd` span with `tensor.conv2d.bwd.*`
+/// counters; `flops` counts the multiply-adds of both products.
+pub fn conv2d_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    ph: usize,
+    pw: usize,
+) -> (Tensor, Tensor) {
+    assert_eq!(input.rank(), 4, "conv2d_backward input must be [B,C,H,W]");
+    assert_eq!(weight.rank(), 4, "conv2d_backward weight must be [Co,Ci,KH,KW]");
+    let (b, cin, h, w) = dims4(input);
+    let (cout, cin2, kh, kw) = dims4(weight);
+    assert_eq!(cin, cin2, "conv2d_backward: channel mismatch (input {cin} vs weight {cin2})");
+    assert!(
+        h + 2 * ph >= kh && w + 2 * pw >= kw,
+        "conv2d_backward: kernel larger than padded input"
+    );
+    let oh = h + 2 * ph + 1 - kh;
+    let ow = w + 2 * pw + 1 - kw;
+    assert_eq!(grad_out.shape(), &[b, cout, oh, ow], "conv2d_backward: gradient shape mismatch");
+    let taps = cin * kh * kw;
+    let mut _span = ts3_obs::span("tensor.conv2d.bwd");
+    if _span.active() {
+        let flops = 2 * b * cout * taps * (h * w + oh * ow);
+        _span.field("b", b);
+        _span.field("cin", cin);
+        _span.field("cout", cout);
+        _span.field("kh", kh);
+        _span.field("kw", kw);
+        _span.field("flops", flops);
+        ts3_obs::counter_add("tensor.conv2d.bwd.calls", 1);
+        ts3_obs::counter_add("tensor.conv2d.bwd.flops", flops as u64);
+        // Reads input, weight and grad_out; writes both gradients.
+        ts3_obs::counter_add(
+            "tensor.conv2d.bwd.bytes",
+            (8 * (input.numel() + weight.numel()) + 4 * grad_out.numel()) as u64,
+        );
+    }
+
+    // Input gradient: the flipped conv over grad_out, cropped where the
+    // forward padding exceeded the kernel reach.
+    let (dh, dw) = (ph.saturating_sub(kh - 1), pw.saturating_sub(kw - 1));
+    let cropped;
+    let gy = if dh + dw > 0 {
+        cropped = grad_out.narrow(2, dh, oh - 2 * dh).narrow(3, dw, ow - 2 * dw);
+        &cropped
+    } else {
+        grad_out
+    };
+    let flipped = weight.flip(2).flip(3).permute(&[1, 0, 2, 3]);
+    let gx = conv2d_kernel(gy, &flipped, kh - 1 + dh - ph, kw - 1 + dw - pw);
+
+    // Weight gradient: per-sample partials in parallel, fixed-order sum.
+    let wsize = cout * taps;
+    let mut gw = vec![0.0f32; wsize];
+    if wsize > 0 {
+        let (ocols, in_sample) = (oh * ow, cin * h * w);
+        let (src, g) = (input.as_slice(), grad_out.as_slice());
+        let mut partials = vec![0.0f32; b * wsize];
+        crate::par::par_rows_mut(&mut partials, wsize, 1, |b0, block| {
+            COLS.with(|cell| {
+                let cols = &mut *cell.borrow_mut();
+                for (i, pb) in block.chunks_mut(wsize).enumerate() {
+                    let bi = b0 + i;
+                    let x = &src[bi * in_sample..][..in_sample];
+                    im2col_into(x, cin, h, w, kh, kw, ph, pw, cols);
+                    crate::gemm::gemm(
+                        MatRef::dense(&g[bi * cout * ocols..][..cout * ocols], ocols),
+                        MatRef::dense_t(cols, ocols),
+                        pb,
+                        cout,
+                        ocols,
+                        taps,
+                    );
+                }
+            });
+        });
+        for part in partials.chunks_exact(wsize) {
+            for (acc, v) in gw.iter_mut().zip(part) {
+                *acc += v;
+            }
+        }
+    }
+    (gx, Tensor::from_vec(gw, &[cout, cin, kh, kw]))
 }
 
 /// 1-D convolution (cross-correlation), stride 1.
@@ -488,6 +609,75 @@ mod tests {
             serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             batched.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
+    }
+
+    /// Deterministic, value-varied fill for a tensor of `shape`.
+    fn wave(shape: &[usize], stride: usize) -> Tensor {
+        let n: usize = shape.iter().product();
+        Tensor::from_vec((0..n).map(|v| ((v * stride + 3) as f32 * 0.173).sin()).collect(), shape)
+    }
+
+    /// The serial per-sample backward `conv2d_backward` replaced: the
+    /// input gradient folds `Wᵀ·gy` back through `col2im`, the weight
+    /// gradient sums `gy · im2col(x)ᵀ` in ascending `b`.
+    fn conv2d_backward_reference(
+        x: &Tensor,
+        w: &Tensor,
+        gy: &Tensor,
+        ph: usize,
+        pw: usize,
+    ) -> (Tensor, Tensor) {
+        let (b, cin, h, wd) = dims4(x);
+        let (cout, _, kh, kw) = dims4(w);
+        let ocols = gy.shape()[2] * gy.shape()[3];
+        let wmat = w.reshape(&[cout, cin * kh * kw]);
+        let mut gx = Tensor::zeros(&[b, cin, h, wd]);
+        let mut gw = Tensor::zeros(&[cout, cin * kh * kw]);
+        for bi in 0..b {
+            let gyb = gy.index_axis(0, bi).reshape(&[cout, ocols]);
+            let gxb = col2im(&wmat.matmul_ta(&gyb), cin, h, wd, kh, kw, ph, pw);
+            gx.assign_narrow(0, bi, &gxb.reshape(&[1, cin, h, wd]));
+            gw.add_assign(&gyb.matmul_tb(&im2col(&x.index_axis(0, bi), kh, kw, ph, pw)));
+        }
+        (gx, gw.reshape(&[cout, cin, kh, kw]))
+    }
+
+    #[test]
+    fn conv2d_backward_matches_col2im_reference() {
+        for (b, cin, cout, h, w, kh, kw, ph, pw) in [
+            // The im2col_into geometry sweep, with a batch and Ci != Co.
+            (2, 1, 2, 1, 1, 1, 1, 0, 0),
+            (2, 2, 3, 4, 5, 3, 3, 1, 1),
+            (3, 3, 2, 5, 4, 2, 4, 0, 2),
+            (2, 1, 1, 6, 3, 5, 1, 2, 0),
+            (2, 2, 2, 3, 3, 3, 3, 2, 2),
+            (2, 1, 3, 1, 1, 6, 6, 3, 3),
+            // ph = pw = 0 on H = 1: MICN's valid conv1d.
+            (4, 3, 5, 1, 20, 1, 7, 0, 0),
+            // Padding beyond the kernel reach (ph > kh - 1): cropped path.
+            (2, 2, 3, 3, 4, 3, 3, 4, 3),
+            (3, 2, 1, 2, 2, 1, 1, 2, 1),
+            // B = 1 and the merged 5x5 inception geometry.
+            (1, 4, 6, 8, 12, 5, 5, 2, 2),
+        ] {
+            let x = wave(&[b, cin, h, w], 7);
+            let wt = wave(&[cout, cin, kh, kw], 11);
+            let y = conv2d(&x, &wt, ph, pw);
+            let gy = wave(y.shape(), 5);
+            let (gx, gw) = conv2d_backward(&x, &wt, &gy, ph, pw);
+            let (rx, rw) = conv2d_backward_reference(&x, &wt, &gy, ph, pw);
+            let geom = format!("b={b} ci={cin} co={cout} h={h} w={w} k={kh}x{kw} p={ph},{pw}");
+            assert_eq!(gx.shape(), x.shape(), "{geom}");
+            let scale = rx.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+            assert!(gx.allclose(&rx, 1e-5 * scale), "{geom}: gx off by {}", gx.max_abs_diff(&rx));
+            // Same per-sample gemm, same ascending-b sum: the weight
+            // gradient is not merely close but bitwise equal.
+            assert_eq!(
+                gw.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                rw.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{geom}"
+            );
+        }
     }
 
     #[test]

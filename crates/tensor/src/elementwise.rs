@@ -79,8 +79,48 @@ impl Tensor {
     }
 
     /// Elementwise GELU (tanh approximation, as used by most DL frameworks).
+    ///
+    /// Large tensors are split across the worker pool; every element is
+    /// computed by the same scalar code, so the result is bit-identical
+    /// at any thread count.
     pub fn gelu(&self) -> Tensor {
-        self.map(gelu_scalar)
+        par_fill(&self.shape, |i0, out| {
+            for (o, &v) in out.iter_mut().zip(&self.data[i0..]) {
+                *o = gelu_scalar(v);
+            }
+        })
+    }
+
+    /// GELU together with `t = tanh(u)`, the inner term its derivative
+    /// reuses: returns `(gelu(x), t)`, the first bitwise equal to
+    /// [`Tensor::gelu`].
+    pub fn gelu_with_tanh(&self) -> (Tensor, Tensor) {
+        let t = par_fill(&self.shape, |i0, out| {
+            for (o, &v) in out.iter_mut().zip(&self.data[i0..]) {
+                *o = gelu_inner(v).tanh();
+            }
+        });
+        let y = par_fill(&self.shape, |i0, out| {
+            for ((o, &v), &t) in out.iter_mut().zip(&self.data[i0..]).zip(&t.data[i0..]) {
+                *o = 0.5 * v * (1.0 + t);
+            }
+        });
+        (y, t)
+    }
+
+    /// `grad · gelu'(self)`, given the `t` returned alongside the forward
+    /// by [`Tensor::gelu_with_tanh`] — the GELU backward without a
+    /// second `tanh`.
+    pub fn gelu_backward(&self, t: &Tensor, grad: &Tensor) -> Tensor {
+        assert_eq!(self.shape, t.shape, "gelu_backward: tanh shape mismatch");
+        assert_eq!(self.shape, grad.shape, "gelu_backward: gradient shape mismatch");
+        par_fill(&self.shape, |i0, out| {
+            let inputs = self.data[i0..].iter().zip(&t.data[i0..]).zip(&grad.data[i0..]);
+            for (o, ((&x, &t), &g)) in out.iter_mut().zip(inputs) {
+                let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
+                *o = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du);
+            }
+        })
     }
 
     /// Elementwise power with an f32 exponent.
@@ -250,10 +290,33 @@ impl Tensor {
     }
 }
 
+/// `sqrt(2/pi)` and the cubic coefficient of the tanh-approximated GELU.
+const GELU_C: f32 = 0.797_884_6;
+const GELU_A: f32 = 0.044_715;
+
+/// Elementwise work below this many elements per thread stays serial.
+const PAR_MAP_GRAIN: usize = 1 << 13;
+
+/// The tanh argument `u = sqrt(2/pi) · (v + 0.044715 v³)` of GELU.
+fn gelu_inner(v: f32) -> f32 {
+    GELU_C * (v + GELU_A * v * v * v)
+}
+
 /// GELU activation on a single value (tanh approximation).
-pub(crate) fn gelu_scalar(v: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh())
+fn gelu_scalar(v: f32) -> f32 {
+    0.5 * v * (1.0 + gelu_inner(v).tanh())
+}
+
+/// A tensor of `shape` whose elements are written by `fill(first, block)`
+/// over contiguous blocks split across the worker pool (`first` is the
+/// flat index of `block[0]`). Each element depends only on its index, so
+/// the result does not depend on the thread count.
+fn par_fill(shape: &[usize], fill: impl Fn(usize, &mut [f32]) + Sync) -> Tensor {
+    let mut data = vec![0.0f32; shape.iter().product()];
+    if !data.is_empty() {
+        crate::par::par_rows_mut(&mut data, 1, PAR_MAP_GRAIN, fill);
+    }
+    Tensor { data, shape: shape.to_vec() }
 }
 
 #[cfg(test)]

@@ -4,12 +4,13 @@
 //! schedule: not on which worker runs which row block, and not on the
 //! order the mailboxes are woken. This sweep forces the point: for 16
 //! fuzz seeds × thread counts {1, 2, 4} it recomputes a matmul, a
-//! complex FFT, a real-input FFT, a triple decomposition and a TS3Net
-//! forward pass under a freshly permuted schedule per dispatch, and
-//! asserts every result is **bitwise** identical to the unfuzzed
-//! single-thread baseline. A failure here means some kernel secretly
-//! depends on scheduling — a shared accumulator, block-order
-//! dependence, or a data race.
+//! complex FFT, a real-input FFT, a triple decomposition, a TS3Net
+//! forward pass and one TS3Net train step (every parameter gradient,
+//! through the batch-parallel conv2d backward) under a freshly permuted
+//! schedule per dispatch, and asserts every result is **bitwise**
+//! identical to the unfuzzed single-thread baseline. A failure here
+//! means some kernel secretly depends on scheduling — a shared
+//! accumulator, block-order dependence, or a data race.
 //!
 //! Everything lives in one `#[test]` on purpose: the fuzz seed and the
 //! thread cap are process-global, so concurrent tests inside this
@@ -42,7 +43,7 @@ fn series(n: usize, stride: usize) -> Vec<f32> {
 
 /// One full pipeline evaluation under the current (fuzz, threads)
 /// globals, flattened to bit patterns.
-fn evaluate(model: &TS3Net, x: &Tensor) -> Vec<u32> {
+fn evaluate(model: &TS3Net, x: &Tensor, batch: &(Tensor, Tensor)) -> Vec<u32> {
     let mut bits = Vec::new();
     let push = |bits: &mut Vec<u32>, vals: &[f32]| {
         bits.extend(vals.iter().map(|v| v.to_bits()));
@@ -79,6 +80,17 @@ fn evaluate(model: &TS3Net, x: &Tensor) -> Vec<u32> {
     // TS3Net forward pass (eval mode: no dropout, no tape).
     let mut ctx = Ctx::eval();
     push(&mut bits, model.forecast(x, &mut ctx).value().as_slice());
+
+    // One train step: MSE loss, backward, every parameter gradient.
+    let params = model.parameters();
+    for p in &params {
+        p.zero_grad();
+    }
+    let (xb, yb) = batch;
+    model.forecast(xb, &mut Ctx::train(0)).mse_loss(yb).backward();
+    for p in &params {
+        push(&mut bits, p.grad().as_slice());
+    }
     bits
 }
 
@@ -97,18 +109,24 @@ fn sixteen_fuzzed_schedules_are_bitwise_identical() {
 
     let model = TS3Net::new(tiny_cfg(2, 32, 16), 42);
     let x = Tensor::from_vec(series(2 * 32 * 2, 13), &[2, 32, 2]);
+    // An odd batch, so multi-thread splits of the per-sample backward
+    // partials are uneven.
+    let batch = (
+        Tensor::from_vec(series(5 * 32 * 2, 17), &[5, 32, 2]),
+        Tensor::from_vec(series(5 * 16 * 2, 19), &[5, 16, 2]),
+    );
 
     // Unfuzzed single-thread baseline.
     par::set_sched_fuzz(None);
     par::set_max_threads(1);
-    let baseline = evaluate(&model, &x);
+    let baseline = evaluate(&model, &x, &batch);
 
     let fuzzed_before = par::pool_stats().fuzzed_dispatches;
     for seed in 0..SEEDS {
         par::set_sched_fuzz(Some(seed));
         for threads in THREADS {
             par::set_max_threads(threads);
-            let got = evaluate(&model, &x);
+            let got = evaluate(&model, &x, &batch);
             assert_eq!(
                 baseline.len(),
                 got.len(),
